@@ -158,7 +158,6 @@ func TestRecordWindowedBench(t *testing.T) {
 		{"replicas-4", func(o *exp.ProfileOptions) {
 			o.Replicas = 4
 			o.Workers = 4
-			o.Shards = 4
 		}},
 	}
 	identity := map[string]string{}

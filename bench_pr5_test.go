@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/exp"
 	"repro/internal/nas"
+	"repro/internal/trace"
 )
 
 type treePoint struct {
@@ -43,11 +44,11 @@ type benchRecordPR5 struct {
 	Benchmark string `json:"benchmark"`
 	Workload  string `json:"workload"`
 	GoVersion string `json:"go_version"`
-	// SweepV1 streams the seed's fixed 256-byte records; SweepV2 the
-	// compact delta+varint packs of PR 4. Each sweep's first point is its
-	// own flat baseline.
+	// SweepV1 streams the seed's fixed 256-byte records; SweepV3 the
+	// compact delta+varint stream-dictionary packs. Each sweep's first
+	// point is its own flat baseline.
 	SweepV1 []treePoint    `json:"sweep_v1"`
-	SweepV2 []treePoint    `json:"sweep_v2"`
+	SweepV3 []treePoint    `json:"sweep_v3"`
 	Fault   treeFaultPoint `json:"aggregator_kill"`
 }
 
@@ -85,13 +86,13 @@ func toTreePoints(pts []exp.TreePoint) []treePoint {
 // it additionally writes results/BENCH_PR5.json; without it, short mode
 // skips.
 //
-// The v2 sweep is recorded without a reduction bound: v2 packs are ~25x
+// The v3 sweep bounds only the tree-L3 point: v3 packs are ~25x
 // smaller per event, while wait-state analysis must ship its pending
 // send/recv queues event-granular until both sides of a channel meet at
 // a common ancestor. With one aggregation tier covering all leaves
 // (tree-L3) the pendings settle below the root and the tree still wins;
 // with the root as the only meeting point (tree-L2) partial traffic can
-// exceed the tiny v2 packs. The recorded numbers document exactly that
+// exceed the tiny v3 packs. The recorded numbers document exactly that
 // trade.
 func TestRecordTreeBench(t *testing.T) {
 	record := os.Getenv("RECORD_BENCH") != ""
@@ -145,25 +146,25 @@ func TestRecordTreeBench(t *testing.T) {
 		}
 	}
 
-	v2opts := base
-	v2opts.PackV2 = true
-	v2, err := exp.TreeScalingSweep(p, workloads, v2opts, []exp.TreeConfig{
+	v3opts := base
+	v3opts.PackVersion = trace.PackV3
+	v3, err := exp.TreeScalingSweep(p, workloads, v3opts, []exp.TreeConfig{
 		{Levels: 2, Fanin: 8, FlushPacks: 16},
 		{Levels: 3, Fanin: 8, FlushPacks: 16},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec.SweepV2 = toTreePoints(v2)
-	for _, pt := range v2[1:] {
+	rec.SweepV3 = toTreePoints(v3)
+	for _, pt := range v3[1:] {
 		if !pt.MatchesFlat {
-			t.Errorf("v2 %s: profile diverged from the flat run", pt.Config)
+			t.Errorf("v3 %s: profile diverged from the flat run", pt.Config)
 		}
 	}
 	// The tree with an interior tier settles wait-state pendings below the
-	// root and must still beat even the compact v2 wire format.
-	if pt := v2[2]; pt.IngestReductionPct < 50 {
-		t.Errorf("v2 %s: root ingest reduction %.1f%%, want >= 50%%", pt.Config, pt.IngestReductionPct)
+	// root and must still beat even the compact v3 wire format.
+	if pt := v3[2]; pt.IngestReductionPct < 50 {
+		t.Errorf("v3 %s: root ingest reduction %.1f%%, want >= 50%%", pt.Config, pt.IngestReductionPct)
 	}
 
 	// Degraded mode: fail-stop an interior aggregator halfway through.
@@ -206,5 +207,5 @@ func TestRecordTreeBench(t *testing.T) {
 	if err := os.WriteFile("results/BENCH_PR5.json", append(buf, '\n'), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("wrote results/BENCH_PR5.json (%d v1 points, %d v2 points)", len(rec.SweepV1), len(rec.SweepV2))
+	t.Logf("wrote results/BENCH_PR5.json (%d v1 points, %d v3 points)", len(rec.SweepV1), len(rec.SweepV3))
 }

@@ -45,7 +45,7 @@ type benchRecordPR6 struct {
 	// AdaptiveIdleLossless records that the controller is measurement-
 	// neutral when nothing is wrong: an unloaded run with the closed loop
 	// armed stays at level 0, sheds nothing, and analyzes exactly the
-	// baseline's event count. (Arming is not byte-identical — the v2
+	// baseline's event count. (Arming is not byte-identical — the v3
 	// format ceiling costs one negotiation hello per peer at open, which
 	// the measured timings legitimately see; byte-identity is guaranteed
 	// only for the disabled default, which shares PR 5's golden

@@ -16,7 +16,7 @@ type benchRecordPR9 struct {
 	GoVersion string `json:"go_version"`
 	NumCPU    int    `json:"num_cpu"`
 	// Points is the v3 fused engine at each worker count: blackboard
-	// workers, shards and replica lanes scale together; 1 worker is the
+	// workers and replica lanes scale together; 1 worker is the
 	// serial (replica-free) engine of PR7.
 	Points []exp.RawSpeedPoint `json:"points"`
 	// SpeedupX maps "<workers>" to events/s relative to the 1-worker run.

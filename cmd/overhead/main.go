@@ -22,7 +22,6 @@ import (
 	"repro/internal/exp"
 	"repro/internal/exp/runner"
 	"repro/internal/nas"
-	"repro/internal/trace"
 )
 
 func main() {
@@ -36,7 +35,6 @@ func main() {
 		repeatFlag   = flag.Int("repeats", 3, "noise-seed passes averaged per point (the paper averages 3)")
 		platformFlag = flag.String("platform", "tera100", "platform model (tera100 or curie)")
 		jFlag        = flag.Int("j", 0, "parallel sweep workers (0 = all cores, 1 = serial); the table is identical for any value")
-		packv2Flag   = flag.Bool("packv2", false, "stream packs in the compact v2 wire format (default: v1 fixed records, the seed behavior)")
 	)
 	flag.Parse()
 
@@ -71,12 +69,8 @@ func main() {
 			grid = append(grid, w)
 		}
 	}
-	packVersion := trace.PackV1
-	if *packv2Flag {
-		packVersion = trace.PackV2
-	}
 	points, err := runner.Run(len(grid), *jFlag, func(i int) (exp.OverheadPoint, error) {
-		pt, err := exp.MeasureOverheadAvgV(platform, grid[i], exp.ToolOnline, *ratioFlag, *repeatFlag, packVersion)
+		pt, err := exp.MeasureOverheadAvg(platform, grid[i], exp.ToolOnline, *ratioFlag, *repeatFlag)
 		if err != nil {
 			return exp.OverheadPoint{}, err
 		}
@@ -87,17 +81,6 @@ func main() {
 	})
 	if err != nil {
 		log.Fatal(err)
-	}
-	if *packv2Flag {
-		var wire, logical int64
-		for _, pt := range points {
-			wire += pt.DataBytes
-			logical += pt.LogicalBytes
-		}
-		if wire > 0 && logical > 0 {
-			fmt.Fprintf(os.Stderr, "packv2: %d bytes on wire (logical %d), compression %.2fx (%.1f%% reduction)\n",
-				wire, logical, float64(logical)/float64(wire), 100*(1-float64(wire)/float64(logical)))
-		}
 	}
 	exp.WriteOverheadTable(os.Stdout,
 		fmt.Sprintf("Figure 15: online-coupling overhead at ratio 1:%d on %s (%d passes averaged)",

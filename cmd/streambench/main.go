@@ -63,12 +63,11 @@ func main() {
 		platformFlag = flag.String("platform", "tera100", "platform model (tera100 or curie)")
 		jFlag        = flag.Int("j", 0, "parallel sweep workers (0 = all cores, 1 = serial); output is identical for any value")
 		telFlag      = flag.Bool("telemetry", false, "re-run the best 1:1 point with engine telemetry and print a JSON health summary")
-		packv2Flag   = flag.Bool("packv2", false, "stream real event packs in the compact v2 wire format (default: size-only v1 blocks, the seed behavior)")
-		formatFlag   = flag.Int("format", 0, "pack wire format: 1 (fixed records), 2 (delta+varint) or 3 (stream dictionary); 0 defers to -packv2")
-		rawFlag      = flag.Bool("rawspeed", false, "single-node raw analysis speed: the v2+flat-board baseline engine vs the v3+sharded fused engine, at host speed")
+		formatFlag   = flag.Int("format", 0, "pack wire format: 1 (size-only fixed-record blocks, the seed behavior) or 3 (real packs in the compact stream-dictionary format); 0 = 1")
+		rawFlag      = flag.Bool("rawspeed", false, "single-node raw analysis speed: the v1 board-path baseline engine vs the v3 fused engine, at host speed")
 		rawWriters   = flag.Int("raw-writers", 8, "writer streams in -rawspeed mode")
 		rawEvents    = flag.Int("raw-events", 200000, "events per writer in -rawspeed mode")
-		rawCores     = flag.String("cores", "", "comma-separated worker counts (e.g. 1,2,4,8): sweep the v3 fused engine's replica scaling in -rawspeed mode instead of the v2-vs-v3 comparison")
+		rawCores     = flag.String("cores", "", "comma-separated worker counts (e.g. 1,2,4,8): sweep the v3 fused engine's replica scaling in -rawspeed mode instead of the v1-vs-v3 comparison")
 		cpuProfile   = flag.String("cpuprofile", "", "write a host-side CPU profile of the run to this file")
 		memProfile   = flag.String("memprofile", "", "write a host-side heap profile to this file at exit")
 		treeFlag     = flag.String("tree", "", "reduction-tree ingest sweep over these applications (NAME.CLASS@PROCS[,...]) instead of the Figure 14 stream sweep")
@@ -123,7 +122,7 @@ func main() {
 	if err != nil {
 		fatalUsage(err)
 	}
-	format, err := cliutil.ResolvePackFormat(*formatFlag, *packv2Flag)
+	format, err := cliutil.ResolvePackFormat(*formatFlag)
 	if err != nil {
 		fatalUsage(err)
 	}
@@ -386,20 +385,16 @@ func runWindowLag(windowNs, slideNs, costNs, sloNs int64) {
 // measurement, and the workload to point -cpuprofile at when hunting the
 // next bottleneck.
 func runRawSpeed(writers, events int) {
-	shards := runtime.NumCPU()
-	if shards > 8 {
-		shards = 8
-	}
 	base, err := exp.RawAnalysisSpeed(exp.RawSpeedConfig{
 		Writers: writers, EventsPerWriter: events,
-		PackVersion: trace.PackV2, Shards: 1, Fused: false,
+		PackVersion: trace.PackV1, Fused: false,
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
 	nu, err := exp.RawAnalysisSpeed(exp.RawSpeedConfig{
 		Writers: writers, EventsPerWriter: events,
-		PackVersion: trace.PackV3, Shards: shards, Fused: true,
+		PackVersion: trace.PackV3, Fused: true,
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -408,7 +403,7 @@ func runRawSpeed(writers, events int) {
 	for _, pt := range []struct {
 		name string
 		p    exp.RawSpeedPoint
-	}{{"v2 + flat board (PR6)", base}, {"v3 + sharded board, fused", nu}} {
+	}{{"v1 + board path", base}, {"v3 + fused ingest", nu}} {
 		fmt.Printf("%-28s %9d  %12d  %8.3f  %12.0f\n",
 			pt.name, pt.p.Events, pt.p.WireBytes, pt.p.Seconds, pt.p.EventsPerSec)
 	}
@@ -416,8 +411,8 @@ func runRawSpeed(writers, events int) {
 }
 
 // runRawScaling is -rawspeed -cores: the v3 fused engine at each worker
-// count, replicas and shards scaling together — the PR9 acceptance
-// sweep. Speedups are against the 1-worker (serial, replica-free) run
+// count, workers and replicas scaling together — the parallel-analysis
+// acceptance sweep. Speedups are against the 1-worker (serial, replica-free) run
 // when the sweep includes it, else against the smallest count measured.
 func runRawScaling(writers, events int, cores []int) {
 	points, err := exp.RawSpeedScaling(writers, events, cores)

@@ -92,7 +92,7 @@ type classPlan struct {
 // profile's structure (phase boundaries, barrier wait analysis).
 //
 //	L0  nominal: admit everything, static transport.
-//	L1  transport only: wider credit window, compact v2 packs, coarser
+//	L1  transport only: wider credit window, compact v3 packs, coarser
 //	    tree flush cadence — no measurement loss yet.
 //	L2  sample async bookkeeping 1-in-8.
 //	L3  async 1-in-64, point-to-point and POSIX 1-in-8.
@@ -290,21 +290,14 @@ func (c *Controller) decide(level int) {
 		w.RequestWindow(win)
 	}
 	if level >= 1 {
-		// Byte-bound overload: the compact columns buy wire bytes (DESIGN
-		// §9's v2-wins regime; the v2-loses cases — tiny packs, high
+		// Byte-bound overload: the compact v3 columns buy wire bytes
+		// (DESIGN §13; the cases where they lose — tiny packs, high
 		// entropy — do not arise here because overload implies full packs
-		// of regular traffic). Deeper overload (level >= 2) moves to the
-		// v3 per-stream dictionary: a sustained overloaded stream is long
-		// by definition, exactly the regime where amortizing the
-		// dictionary across packs wins (DESIGN §13); v2 stays the level-1
-		// choice so a brief spike never pays v3's short-stream overhead.
+		// of regular traffic). The recorder opens a fresh v3 builder on
+		// every switch, so each switch restarts the stream dictionary.
 		// Coarser flush cadence cuts the partial traffic competing with
 		// data for the analyzer.
-		if level >= 2 {
-			c.packVersion.Store(int32(trace.PackV3))
-		} else {
-			c.packVersion.Store(int32(trace.PackV2))
-		}
+		c.packVersion.Store(int32(trace.PackV3))
 		base := c.cfg.BaseFlushPacks
 		if base <= 0 {
 			base = 4

@@ -137,9 +137,9 @@ func NewPipeline(bb *blackboard.Blackboard, level string, appSize int) (*Pipelin
 			buf := in[0].Payload.([]byte)
 			// A zero-copy reader iterates the borrowed block in place; the
 			// only per-event allocation is the copy posted to the board,
-			// which must outlive the block. Both wire formats decode here —
-			// streams negotiate per writer, so one analyzer can serve v1 and
-			// v2 producers at once.
+			// which must outlive the block. Only v1 packs reach the board:
+			// v3 packs need per-writer order and take the fused ingest
+			// path (FusedIngest.Absorb).
 			var t0 time.Time
 			if p.codec != nil {
 				t0 = time.Now()
@@ -394,7 +394,7 @@ func NewFusedIngest(d *Dispatcher) *FusedIngest {
 // Absorb routes one pack from writer src. v3 packs are decoded through
 // the writer's persistent dictionary and folded synchronously into the
 // application's modules; the return reports the buffer was consumed (the
-// caller may recycle it). v1, v2 and audit packs go to the board via
+// caller may recycle it). v1 and audit packs go to the board via
 // PostRaw — the board then owns the buffer — and consumed is false.
 func (f *FusedIngest) Absorb(src int, buf []byte) (consumed bool, err error) {
 	h, err := trace.PeekHeader(buf)

@@ -50,7 +50,7 @@ func packStreamV3(appID uint32, rank int32, evs []trace.Event) [][]byte {
 }
 
 // TestFusedIngestMatchesBoardPath runs the same workload through the v3
-// fused path and the v2 board path and requires identical module results —
+// fused path and the v1 board path and requires identical module results —
 // the fused-dispatch invariant the golden fingerprints rely on.
 func TestFusedIngestMatchesBoardPath(t *testing.T) {
 	const ranks, perRank = 4, 300
@@ -87,7 +87,7 @@ func TestFusedIngestMatchesBoardPath(t *testing.T) {
 					}
 				}
 			} else {
-				b := trace.NewPackBuilderV2(7, r, 48, 1<<11)
+				b := trace.NewPackBuilder(7, r, 48, 1<<11)
 				for i := range evs {
 					if b.Add(&evs[i]) {
 						d.PostRaw(b.Take())
@@ -147,8 +147,8 @@ func TestFusedIngestMatchesBoardPath(t *testing.T) {
 	}
 }
 
-// TestFusedIngestRoutesLegacyToBoard checks v1/v2 packs pass through
-// Absorb to the blackboard untouched.
+// TestFusedIngestRoutesLegacyToBoard checks v1 packs from every writer
+// pass through Absorb to the blackboard untouched.
 func TestFusedIngestRoutesLegacyToBoard(t *testing.T) {
 	bb := newBoard(t)
 	d, err := NewDispatcher(bb)
@@ -160,14 +160,12 @@ func TestFusedIngestRoutesLegacyToBoard(t *testing.T) {
 		t.Fatal(err)
 	}
 	fi := NewFusedIngest(d)
-	v2 := trace.NewPackBuilderV2(1, 0, 48, 1<<16)
-	v2.Add(&trace.Event{Kind: trace.KindSend, Rank: 0, Peer: 1, Size: 64, TStart: 0, TEnd: 1})
-	consumed, err := fi.Absorb(0, v2.Take())
+	consumed, err := fi.Absorb(0, buildPack(1, 0, sendEvent(0, 1, 64, 0, 1)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if consumed {
-		t.Fatal("v2 pack must go to the board, not the fused path")
+		t.Fatal("v1 pack must go to the board, not the fused path")
 	}
 	consumed, err = fi.Absorb(1, buildPack(1, 1, sendEvent(1, 0, 32, 0, 1)))
 	if err != nil || consumed {

@@ -101,9 +101,9 @@ func TestPipelineCodecTelemetry(t *testing.T) {
 	p.SetCodecTelemetry(telemetry.NewCodecMetrics(reg))
 
 	ev := trace.Event{Kind: trace.KindSend, Rank: 0, Peer: 1, Size: 8, TStart: 1, TEnd: 2}
-	v2 := trace.NewPackBuilderV2(1, 0, trace.MinRecordSize, 1<<12)
-	v2.Add(&ev)
-	p.PostPack(v2.Take())
+	v1 := trace.NewPackBuilder(1, 0, trace.MinRecordSize, 1<<12)
+	v1.Add(&ev)
+	p.PostPack(v1.Take())
 	bb.Drain()
 	if p.Profiler.Events() != 1 {
 		t.Fatalf("board path analyzed %d events", p.Profiler.Events())

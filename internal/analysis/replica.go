@@ -215,6 +215,17 @@ func (p *Pipeline) EnableReplicas(epochEvents int) error {
 	// index it lazily, each slot touched only by its owning worker.
 	p.epochEvents = epochEvents
 	p.reps = make([]*Replica, p.bb.Workers())
+	if p.waits != nil {
+		// Board workers fold events in job-scheduling order, so an epoch
+		// merge can carry a channel's later sends while earlier ones still
+		// sit in another worker's replica: positional pairing at merge
+		// time would then pair the wrong messages. The canonical module
+		// defers pairing to read time, when every replica has merged —
+		// the same deferral the per-module board KS gets from Add.
+		p.waits.mu.Lock()
+		p.waits.lazy = true
+		p.waits.mu.Unlock()
+	}
 	if err := p.bb.Register(blackboard.KS{
 		Name:          "fold@" + p.level,
 		Sensitivities: []blackboard.Type{blackboard.TypeID(p.level, TypeEvent)},

@@ -186,7 +186,7 @@ func canonicalOf(p *Pipeline) []byte {
 // a fresh board.
 func fullPipeline(t *testing.T, workers int) (*Dispatcher, *Pipeline) {
 	t.Helper()
-	bb := blackboard.New(blackboard.Config{Workers: workers, Shards: workers})
+	bb := blackboard.New(blackboard.Config{Workers: workers})
 	t.Cleanup(bb.Close)
 	d, err := NewDispatcher(bb)
 	if err != nil {
@@ -211,7 +211,7 @@ func fullPipeline(t *testing.T, workers int) (*Dispatcher, *Pipeline) {
 	return d, p
 }
 
-// TestEnableReplicasBoardMatchesFlat runs the same v2 pack stream
+// TestEnableReplicasBoardMatchesFlat runs the same v1 pack stream
 // through the flat board path and the replica board path (short epochs,
 // so mid-stream merges happen) and requires byte-identical canonical
 // state after Drain+Settle.
@@ -244,6 +244,49 @@ func TestEnableReplicasBoardMatchesFlat(t *testing.T) {
 	rep := run(true)
 	if !bytes.Equal(flat, rep) {
 		t.Error("replica board path diverged from flat board path")
+	}
+}
+
+// TestBoardReplicaMergeOrderWaitState pins the board-path epoch merge
+// against scheduling order: board workers fold a rank's events out of
+// time order, so one replica can merge a channel's second send (and the
+// receive it does not match) before another replica merges the first
+// send. The late-sender result must equal the serial module's all the
+// same — pairing is deferred until every replica has merged.
+func TestBoardReplicaMergeOrderWaitState(t *testing.T) {
+	send := func(t0 int64) trace.Event {
+		return trace.Event{Kind: trace.KindSend, Rank: 0, Peer: 1, TStart: t0, TEnd: t0 + 1}
+	}
+	recv := func(t0, t1 int64) trace.Event {
+		return trace.Event{Kind: trace.KindRecv, Rank: 1, Peer: 0, TStart: t0, TEnd: t1}
+	}
+	// Message 1: sent at 0, received 0..10 (no wait). Message 2: sent at
+	// 50, receive posted at 20 (30 ns late sender).
+	first, second := send(0), send(50)
+	r1, r2 := recv(0, 10), recv(20, 60)
+
+	serial := NewWaitStateModule(2)
+	for _, ev := range []trace.Event{first, second, r1, r2} {
+		serial.Add(&ev)
+	}
+
+	_, p := fullPipeline(t, 2)
+	if err := p.EnableReplicas(1 << 20); err != nil {
+		t.Fatal(err)
+	}
+	a, b := p.NewReplica(), p.NewReplica()
+	a.Fold(&second)
+	a.Fold(&r1)
+	p.MergeReplica(a) // the replica holding message 1's send merges last
+	b.Fold(&first)
+	b.Fold(&r2)
+	p.MergeReplica(b)
+
+	if got, want := p.waits.TotalLateNs(), serial.TotalLateNs(); got != want {
+		t.Fatalf("late-sender wait after out-of-order epoch merges = %d ns, serial = %d ns", got, want)
+	}
+	if got, want := p.waits.Pairs(), serial.Pairs(); got != want {
+		t.Fatalf("pairs = %d, serial = %d", got, want)
 	}
 }
 

@@ -13,36 +13,29 @@ func (bb *Blackboard) TakeKS(name string) [][]*Entry {
 	st, ok := bb.byName[name]
 	if ok {
 		delete(bb.byName, name)
-		// Republish each affected shard's table without st. A post may
-		// still hold the previous snapshot; the dead flag below makes its
-		// late offers discard (and ledger) instead of parking forever.
-		perShard := make(map[*shard][]Type)
+		// Republish the table without st. A post may still hold the
+		// previous snapshot; the dead flag below makes its late offers
+		// discard (and ledger) instead of parking forever.
+		old := *bb.sens.Load()
+		next := make(sensMap, len(old))
+		for k, v := range old {
+			next[k] = v
+		}
 		for t := range st.slots {
-			sh := bb.shardOf(t)
-			perShard[sh] = append(perShard[sh], t)
-		}
-		for sh, types := range perShard {
-			old := *sh.sens.Load()
-			next := make(sensMap, len(old))
-			for k, v := range old {
-				next[k] = v
-			}
-			for _, t := range types {
-				cur := next[t]
-				nl := make([]*ksState, 0, len(cur))
-				for _, s := range cur {
-					if s != st {
-						nl = append(nl, s)
-					}
-				}
-				if len(nl) == 0 {
-					delete(next, t)
-				} else {
-					next[t] = nl
+			cur := next[t]
+			nl := make([]*ksState, 0, len(cur))
+			for _, s := range cur {
+				if s != st {
+					nl = append(nl, s)
 				}
 			}
-			sh.sens.Store(&next)
+			if len(nl) == 0 {
+				delete(next, t)
+			} else {
+				next[t] = nl
+			}
 		}
+		bb.sens.Store(&next)
 	}
 	bb.regMu.Unlock()
 	if !ok {

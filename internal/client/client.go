@@ -40,7 +40,8 @@ type Client struct {
 
 // New wraps an established connection and runs the hello handshake,
 // announcing maxFormat (0 = trace.PackV3) as the highest pack format
-// this client can stream.
+// this client can stream; 2, the retired per-pack dictionary format,
+// announces v1.
 func New(conn io.ReadWriteCloser, maxFormat int) (*Client, error) {
 	if maxFormat <= 0 {
 		maxFormat = trace.PackV3
@@ -48,6 +49,7 @@ func New(conn io.ReadWriteCloser, maxFormat int) (*Client, error) {
 	if maxFormat > trace.PackV3 {
 		return nil, fmt.Errorf("client: unknown pack format %d", maxFormat)
 	}
+	maxFormat = trace.NegotiateFormat(maxFormat)
 	c := &Client{conn: conn, fr: wire.NewReader(conn), bw: bufio.NewWriter(conn)}
 	if err := c.send(wire.TypeHello, wire.EncodeHello(wire.Hello{Proto: wire.ProtoVersion, MaxFormat: byte(maxFormat)})); err != nil {
 		conn.Close()

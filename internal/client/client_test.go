@@ -317,7 +317,7 @@ func TestReplayFormatGuard(t *testing.T) {
 }
 
 func TestReplayWithDiffPollingAndStats(t *testing.T) {
-	cp := captureCG(t, 2, trace.PackV2)
+	cp := captureCG(t, 2, trace.PackV3)
 	d := serviced.New(serviced.Options{})
 	c := pipeTo(t, d, cp.PackVersion)
 	rep, err := c.Replay(cp, 2)

@@ -10,24 +10,17 @@ import (
 	"repro/internal/trace"
 )
 
-// ResolvePackFormat resolves the -format/-packv2 flag pair into a
-// concrete pack wire format. -format 0 defers to the legacy -packv2
-// boolean; an explicit -format must be a known version and must not
-// contradict -packv2. Errors carry no usage hint — the command adds it.
-func ResolvePackFormat(format int, packv2 bool) (int, error) {
-	if format == 0 {
-		if packv2 {
-			return trace.PackV2, nil
-		}
+// ResolvePackFormat resolves the -format flag into a concrete pack wire
+// format: 0 is the v1 default, otherwise the value must be a known
+// version. Errors carry no usage hint — the command adds it.
+func ResolvePackFormat(format int) (int, error) {
+	switch format {
+	case 0:
 		return trace.PackV1, nil
+	case trace.PackV1, trace.PackV3:
+		return format, nil
 	}
-	if format < trace.PackV1 || format > trace.PackV3 {
-		return 0, fmt.Errorf("cliutil: -format %d: pack formats are %d..%d", format, trace.PackV1, trace.PackV3)
-	}
-	if packv2 && format != trace.PackV2 {
-		return 0, fmt.Errorf("cliutil: -packv2 conflicts with -format %d", format)
-	}
-	return format, nil
+	return 0, fmt.Errorf("cliutil: -format %d: pack formats are %d and %d", format, trace.PackV1, trace.PackV3)
 }
 
 // ExclusiveModes checks that at most one mode flag of a command is set;

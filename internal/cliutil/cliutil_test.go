@@ -1,6 +1,7 @@
 package cliutil
 
 import (
+	"fmt"
 	"testing"
 )
 
@@ -100,36 +101,25 @@ func TestParseBenches(t *testing.T) {
 }
 
 func TestResolvePackFormat(t *testing.T) {
-	cases := []struct {
-		format int
-		packv2 bool
-		want   int
-	}{
-		{0, false, 1},
-		{0, true, 2},
-		{1, false, 1},
-		{2, false, 2},
-		{2, true, 2}, // -packv2 agreeing with -format 2 is fine
-		{3, false, 3},
-	}
-	for _, c := range cases {
-		got, err := ResolvePackFormat(c.format, c.packv2)
+	for _, c := range []struct{ format, want int }{{0, 1}, {1, 1}, {3, 3}} {
+		got, err := ResolvePackFormat(c.format)
 		if err != nil {
-			t.Fatalf("ResolvePackFormat(%d, %v): %v", c.format, c.packv2, err)
+			t.Fatalf("ResolvePackFormat(%d): %v", c.format, err)
 		}
 		if got != c.want {
-			t.Fatalf("ResolvePackFormat(%d, %v) = %d, want %d", c.format, c.packv2, got, c.want)
+			t.Fatalf("ResolvePackFormat(%d) = %d, want %d", c.format, got, c.want)
 		}
 	}
-	for _, bad := range []struct {
-		format int
-		packv2 bool
-	}{
-		{-1, false}, {4, false}, {100, false}, // out of range (100 is the audit marker, not a wire format)
-		{1, true}, {3, true}, // -packv2 contradicting an explicit -format
-	} {
-		if _, err := ResolvePackFormat(bad.format, bad.packv2); err == nil {
-			t.Fatalf("ResolvePackFormat(%d, %v) accepted", bad.format, bad.packv2)
+	// 2 is the retired per-pack-dictionary format; 100 is the audit
+	// marker, not a wire format.
+	for _, bad := range []int{-1, 2, 4, 100} {
+		_, err := ResolvePackFormat(bad)
+		if err == nil {
+			t.Fatalf("ResolvePackFormat(%d) accepted", bad)
+		}
+		want := fmt.Sprintf("cliutil: -format %d: pack formats are 1 and 3", bad)
+		if err.Error() != want {
+			t.Fatalf("ResolvePackFormat(%d) error %q, want the one-line %q", bad, err, want)
 		}
 	}
 }

@@ -317,7 +317,7 @@ func MeasureOverheadAvg(p Platform, w *nas.Workload, tool Tool, ratio, repeats i
 }
 
 // MeasureOverheadAvgV is MeasureOverheadAvg with an explicit pack wire
-// format for the online tool (trace.PackV1 or trace.PackV2).
+// format for the online tool (trace.PackV1 or trace.PackV3).
 func MeasureOverheadAvgV(p Platform, w *nas.Workload, tool Tool, ratio, repeats, packVersion int) (OverheadPoint, error) {
 	if repeats < 1 {
 		repeats = 1

@@ -53,7 +53,7 @@ func Fig14Event(i int, rank int32) trace.Event {
 // simulated GB/s directly.
 type PackedStreamPoint struct {
 	StreamPoint
-	// PackVersion is the wire format used (trace.PackV1, PackV2 or PackV3).
+	// PackVersion is the wire format used (trace.PackV1 or PackV3).
 	PackVersion int
 	// WireBytes is the total encoded bytes that crossed the streams
 	// (equals StreamPoint.Bytes).
@@ -170,7 +170,7 @@ func StreamThroughputPacked(p Platform, writers, ratio int, perWriter, blockSize
 			}
 			// v3 packs index a per-writer cross-pack dictionary, so the
 			// reader keeps one persistent StreamDecoder per source rank;
-			// v1/v2 stay on the stateless zero-copy PackReader.
+			// v1 stays on the stateless zero-copy PackReader.
 			var pr trace.PackReader
 			var decs map[int]*trace.StreamDecoder
 			if packVersion == trace.PackV3 {

@@ -81,19 +81,10 @@ type ProfileOptions struct {
 	Export func(app string, m *analysis.ExportModule)
 	// ExportFilter selects the exported events (nil = everything).
 	ExportFilter func(*trace.Event) bool
-	// PackV2 streams events in the compact v2 pack format (delta+varint
-	// columns) instead of fixed records; the analyzer decodes either
-	// format per pack, so this only changes the bytes on the wire.
-	// Superseded by PackVersion; kept for older callers.
-	PackV2 bool
-	// PackVersion selects the pack wire format explicitly: trace.PackV1,
-	// PackV2, or PackV3 (the stream-dictionary format, decoded on the
-	// analyzer's fused ingest path instead of the blackboard). 0 defers
-	// to the PackV2 flag.
+	// PackVersion selects the pack wire format: trace.PackV1 (0, the
+	// default) or trace.PackV3 (the stream-dictionary format, decoded on
+	// the analyzer's fused ingest path instead of the blackboard).
 	PackVersion int
-	// Shards partitions the root blackboard by entry type
-	// (0 = blackboard default of 1, the seed's single-partition board).
-	Shards int
 	// Replicas > 0 switches the analysis to the shared-nothing replica
 	// path: every pipeline's event KSs are replaced by one worker-aware
 	// fold KS writing per-worker module replicas, fused v3 ingest runs
@@ -251,11 +242,8 @@ func ProfileRunStats(p Platform, workloads []*nas.Workload, opts ProfileOptions)
 	packVersion := opts.PackVersion
 	if packVersion == 0 {
 		packVersion = trace.PackV1
-		if opts.PackV2 {
-			packVersion = trace.PackV2
-		}
 	}
-	if packVersion < trace.PackV1 || packVersion > trace.PackV3 {
+	if packVersion != trace.PackV1 && packVersion != trace.PackV3 {
 		return nil, nil, fmt.Errorf("exp: unknown pack version %d", packVersion)
 	}
 	rate := opts.AnalyzerByteRate
@@ -304,7 +292,7 @@ func ProfileRunStats(p Platform, workloads []*nas.Workload, opts ProfileOptions)
 		stats.TierIngestBytes = make([]int64, plan.Tiers())
 	}
 
-	bb := blackboard.New(blackboard.Config{Workers: workers, Shards: opts.Shards})
+	bb := blackboard.New(blackboard.Config{Workers: workers})
 	defer bb.Close()
 
 	// Telemetry wiring happens before any KS registration so per-KS
@@ -430,7 +418,7 @@ func ProfileRunStats(p Platform, workloads []*nas.Workload, opts ProfileOptions)
 				cfg.PackVersion = packVersion
 				if opts.Adaptive {
 					// Announce the v3 ceiling so the controller may climb
-					// the whole v1→v2→v3 ladder mid-run without
+					// the whole v1→v3 ladder mid-run without
 					// renegotiating.
 					cfg.AnnouncePackVersion = trace.PackV3
 				}

@@ -25,10 +25,8 @@ type RawSpeedConfig struct {
 	EventsPerWriter int
 	// PackBytes bounds each encoded pack (0 = 16 KiB).
 	PackBytes int
-	// PackVersion selects the wire format (trace.PackV1..PackV3).
+	// PackVersion selects the wire format (trace.PackV1 or PackV3).
 	PackVersion int
-	// Shards is the blackboard shard count (0 = 1).
-	Shards int
 	// Workers is the blackboard worker-pool size (0 = GOMAXPROCS).
 	Workers int
 	// Fused routes packs through analysis.FusedIngest (v3 packs fold on
@@ -46,7 +44,6 @@ type RawSpeedConfig struct {
 // RawSpeedPoint is one raw analysis-speed measurement.
 type RawSpeedPoint struct {
 	PackVersion  int     `json:"pack_version"`
-	Shards       int     `json:"shards"`
 	Workers      int     `json:"workers"`
 	Writers      int     `json:"writers"`
 	Fused        bool    `json:"fused"`
@@ -61,7 +58,7 @@ type RawSpeedPoint struct {
 
 // RawAnalysisSpeed encodes each writer's Fig14 stream with the selected
 // codec, then measures the wall-clock time for the analysis engine —
-// sharded blackboard, dispatcher, default module set — to analyze every
+// blackboard, dispatcher, default module set — to analyze every
 // event. Encoding happens before the clock starts: the measurement
 // isolates the analysis side, which is the partition the paper sizes.
 func RawAnalysisSpeed(cfg RawSpeedConfig) (RawSpeedPoint, error) {
@@ -104,7 +101,7 @@ func RawAnalysisSpeed(cfg RawSpeedConfig) (RawSpeedPoint, error) {
 		}
 	}
 
-	bb := blackboard.New(blackboard.Config{Workers: workers, Shards: cfg.Shards})
+	bb := blackboard.New(blackboard.Config{Workers: workers})
 	defer bb.Close()
 	disp, err := analysis.NewDispatcher(bb)
 	if err != nil {
@@ -157,13 +154,8 @@ func RawAnalysisSpeed(cfg RawSpeedConfig) (RawSpeedPoint, error) {
 	if got := pipe.Profiler.Events(); got != want {
 		return RawSpeedPoint{}, fmt.Errorf("exp: raw speed analyzed %d of %d events", got, want)
 	}
-	shards := cfg.Shards
-	if shards <= 0 {
-		shards = 1
-	}
 	return RawSpeedPoint{
 		PackVersion:  cfg.PackVersion,
-		Shards:       shards,
 		Workers:      workers,
 		Writers:      cfg.Writers,
 		Fused:        cfg.Fused,
@@ -178,8 +170,7 @@ func RawAnalysisSpeed(cfg RawSpeedConfig) (RawSpeedPoint, error) {
 }
 
 // RawSpeedScaling measures the v3 fused path at each worker count in
-// cores: blackboard workers, shards and replica lanes all scale
-// together, the single knob the paper's "run at app speed on whatever
+// cores: blackboard workers and replica lanes scale together, the single knob the paper's "run at app speed on whatever
 // cores the analyzer has" premise turns. cores[i] == 1 runs the serial
 // (replica-free) engine, the scaling baseline.
 func RawSpeedScaling(writers, eventsPerWriter int, cores []int) ([]RawSpeedPoint, error) {
@@ -194,7 +185,6 @@ func RawSpeedScaling(writers, eventsPerWriter int, cores []int) ([]RawSpeedPoint
 			PackVersion:     trace.PackV3,
 			Fused:           true,
 			Workers:         c,
-			Shards:          c,
 		}
 		if c > 1 {
 			cfg.Replicas = c

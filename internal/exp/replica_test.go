@@ -28,13 +28,10 @@ func TestReplicaProfileMatrixMatchesSerial(t *testing.T) {
 	}
 	cells := []cell{
 		{"flat-v1", 1, trace.PackV1},
-		{"flat-v2", 1, trace.PackV2},
 		{"flat-v3", 1, trace.PackV3},
 		{"tree-L2-v1", 2, trace.PackV1},
-		{"tree-L2-v2", 2, trace.PackV2},
 		{"tree-L2-v3", 2, trace.PackV3},
 		{"tree-L3-v1", 3, trace.PackV1},
-		{"tree-L3-v2", 3, trace.PackV2},
 		{"tree-L3-v3", 3, trace.PackV3},
 	}
 	for _, c := range cells {
@@ -52,7 +49,6 @@ func TestReplicaProfileMatrixMatchesSerial(t *testing.T) {
 				if replicas > 0 {
 					// Real parallelism on the board and the fused lanes.
 					opts.Workers = replicas
-					opts.Shards = replicas
 				}
 				rep, stats, err := ProfileRunStats(p, ws, opts)
 				if err != nil {

@@ -59,13 +59,10 @@ func TestTreeProfileMatchesFlat(t *testing.T) {
 	}
 	cases := []tc{
 		{"flat-v1", 1, trace.PackV1},
-		{"flat-v2", 1, trace.PackV2},
 		{"flat-v3", 1, trace.PackV3},
 		{"tree-L2-v1", 2, trace.PackV1}, // one tier: the root is the only aggregator
-		{"tree-L2-v2", 2, trace.PackV2},
 		{"tree-L2-v3", 2, trace.PackV3},
 		{"tree-L3-v1", 3, trace.PackV1}, // two tiers: interior aggregators + root
-		{"tree-L3-v2", 3, trace.PackV2},
 		{"tree-L3-v3", 3, trace.PackV3},
 	}
 	golden := map[int]string{}
@@ -115,7 +112,7 @@ func TestTreeProfileMatchesFlat(t *testing.T) {
 				t.Fatal("root saw no partials")
 			}
 			// Ingest reduction at this toy scale only holds for the fixed
-			// 256-byte v1 records; v2's delta+varint packs are already tiny
+			// 256-byte v1 records; v3's delta+varint packs are already tiny
 			// here, and the per-flush partial tables dominate. The bench
 			// (BENCH_PR5.json) measures the reduction at realistic volume.
 			if c.pack == trace.PackV1 && stats.RootIngestBytes >= flatIngest[c.pack] {

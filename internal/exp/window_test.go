@@ -57,13 +57,10 @@ func TestWindowSeriesMatrix(t *testing.T) {
 	}
 	cells := []cell{
 		{"flat-v1", 1, trace.PackV1},
-		{"flat-v2", 1, trace.PackV2},
 		{"flat-v3", 1, trace.PackV3},
 		{"tree-L2-v1", 2, trace.PackV1},
-		{"tree-L2-v2", 2, trace.PackV2},
 		{"tree-L2-v3", 2, trace.PackV3},
 		{"tree-L3-v1", 3, trace.PackV1},
-		{"tree-L3-v2", 3, trace.PackV2},
 		{"tree-L3-v3", 3, trace.PackV3},
 	}
 	// flatGolden[pack] is the flat serial run's fingerprint, the reference
@@ -85,7 +82,6 @@ func TestWindowSeriesMatrix(t *testing.T) {
 				opts.Replicas = replicas
 				if replicas > 0 {
 					opts.Workers = replicas
-					opts.Shards = replicas
 				}
 				rep, _, err := ProfileRunStats(p, ws, opts)
 				if err != nil {

@@ -107,20 +107,20 @@ type OnlineConfig struct {
 	PerEventCost time.Duration
 	// SizeOnly streams block sizes without materializing payload bytes
 	// (for large overhead sweeps where the analyzer models, rather than
-	// decodes, its input). With PackVersion >= 2 the recorder still
+	// decodes, its input). With PackVersion 3 the recorder still
 	// encodes — the wire size of a compressed pack is data-dependent — but
 	// the encoded buffer is recycled locally instead of being sent.
 	SizeOnly bool
 	// PackVersion selects the pack wire format (0 or trace.PackV1 for the
-	// fixed-record format, trace.PackV2 for delta+varint columns,
-	// trace.PackV3 for the persistent per-stream dictionary). Writers
-	// using v2+ announce it on the stream at open (vmpi format hello).
+	// fixed-record format, trace.PackV3 for delta+varint columns with a
+	// persistent per-stream dictionary). Writers using v3 announce it on
+	// the stream at open (vmpi format hello).
 	PackVersion int
 	// AnnouncePackVersion announces this format on the stream at open even
 	// when PackVersion starts lower — the ceiling a runtime format switch
 	// (SetPackVersionFunc) may reach. The announcement is a negotiation
 	// ceiling, not a promise: every pack self-describes, so a writer that
-	// announced v2 may keep streaming v1 packs. 0 announces PackVersion.
+	// announced v3 may keep streaming v1 packs. 0 announces PackVersion.
 	AnnouncePackVersion int
 	// WriteDeadline bounds how long a pack write may wait for stream
 	// credits before the stalled endpoint is quarantined (0 = wait
@@ -178,8 +178,9 @@ type OnlineRecorder struct {
 	// Adaptive hooks (nil when the controller is disabled): the admission
 	// gate sheds events by class before they cost pack space, and packFn is
 	// consulted at each flush boundary for the wire format the next pack
-	// should use (v1↔v2 switching is safe there because every pack
-	// self-describes via its magic).
+	// should use (v1↔v3 switching is safe there because every pack
+	// self-describes via its magic and each switch to v3 opens a fresh
+	// builder, restarting the stream dictionary at base 0).
 	gate   AdmissionGate
 	packFn func() int
 
@@ -337,7 +338,7 @@ func (o *OnlineRecorder) SetCodecTelemetry(m *telemetry.CodecMetrics) { o.codec 
 
 // LogicalBytes returns the v1-equivalent volume of everything produced:
 // what the recorded packs would have occupied as fixed records. With the
-// v1 format it equals BytesProduced; the gap is the v2 codec's saving.
+// v1 format it equals BytesProduced; the gap is the v3 codec's saving.
 func (o *OnlineRecorder) LogicalBytes() int64 { return o.logical }
 
 // SetSampler attaches a telemetry sampler driven from this recorder's
@@ -505,7 +506,7 @@ func (o *OnlineRecorder) switchFormat() {
 		return
 	}
 	v := o.packFn()
-	if v == o.version || v < trace.PackV1 || v > trace.PackV3 {
+	if v == o.version || v < trace.PackV1 {
 		return
 	}
 	b, err := trace.NewBuilder(v, o.appID, int32(o.sess.LocalRank()), o.recordSize, o.packBytes)

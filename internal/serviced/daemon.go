@@ -151,9 +151,10 @@ func New(opts Options) *Daemon {
 	if opts.MaxSessions <= 0 {
 		opts.MaxSessions = DefaultMaxSessions
 	}
-	if opts.MaxFormat <= 0 || opts.MaxFormat > trace.PackV3 {
+	if opts.MaxFormat <= 0 {
 		opts.MaxFormat = trace.PackV3
 	}
+	opts.MaxFormat = trace.NegotiateFormat(opts.MaxFormat)
 	if opts.Workers <= 0 {
 		opts.Workers = 1
 	}
@@ -356,12 +357,9 @@ func (c *conn) run() error {
 	if h.Proto != wire.ProtoVersion {
 		return c.fail("protocol version %d unsupported (want %d)", h.Proto, wire.ProtoVersion)
 	}
-	format := int(h.MaxFormat)
+	format := trace.NegotiateFormat(min(int(h.MaxFormat), c.d.opts.MaxFormat))
 	if format < trace.PackV1 {
 		return c.fail("client announced no usable pack format (%d)", h.MaxFormat)
-	}
-	if format > c.d.opts.MaxFormat {
-		format = c.d.opts.MaxFormat
 	}
 	if err := c.send(wire.TypeHelloAck, wire.EncodeHelloAck(wire.HelloAck{Proto: wire.ProtoVersion, Format: byte(format)})); err != nil {
 		return err

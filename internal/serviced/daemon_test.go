@@ -194,7 +194,7 @@ func (e *mismatchError) Error() string {
 func TestDiffReplayConvergence(t *testing.T) {
 	spec := [4]int{0, 'A', 16, 2}
 	opts := testOpts
-	opts.PackVersion = trace.PackV2
+	opts.PackVersion = trace.PackV3
 	opts.TemporalWindowNs = (10 * time.Millisecond).Nanoseconds()
 	cp := capture(t, opts, spec)
 	want := inProcessReport(t, opts, spec)
@@ -439,10 +439,38 @@ func TestLifecycleEdges(t *testing.T) {
 	})
 
 	t.Run("hello negotiation clamps to daemon max", func(t *testing.T) {
-		d := New(Options{MaxFormat: trace.PackV2})
+		d := New(Options{MaxFormat: trace.PackV1})
 		c := pipeClient(t, d, trace.PackV3)
-		if c.Format() != trace.PackV2 {
-			t.Fatalf("negotiated v%d, want v2", c.Format())
+		if c.Format() != trace.PackV1 {
+			t.Fatalf("negotiated v%d, want v1", c.Format())
+		}
+	})
+
+	// Format 2 named the retired per-pack dictionary codec. Wherever it
+	// is announced — the daemon's own ceiling, the client SDK's, or a raw
+	// Hello from an older peer — the session negotiates v1, the highest
+	// format both sides still speak.
+	t.Run("legacy format 2 negotiates v1", func(t *testing.T) {
+		if c := pipeClient(t, New(Options{MaxFormat: 2}), trace.PackV3); c.Format() != trace.PackV1 {
+			t.Fatalf("daemon MaxFormat 2: negotiated v%d, want v1", c.Format())
+		}
+		if c := pipeClient(t, New(Options{}), 2); c.Format() != trace.PackV1 {
+			t.Fatalf("client max 2: negotiated v%d, want v1", c.Format())
+		}
+		r := rawConn(t, New(Options{}))
+		if err := wire.WriteFrame(r.conn, wire.TypeHello, wire.EncodeHello(wire.Hello{Proto: wire.ProtoVersion, MaxFormat: 2})); err != nil {
+			t.Fatal(err)
+		}
+		f, err := r.fr.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		ack, err := wire.ParseHelloAck(f.Payload)
+		if err != nil || f.Type != wire.TypeHelloAck {
+			t.Fatalf("raw hello 2: frame %#x err %v", f.Type, err)
+		}
+		if ack.Format != trace.PackV1 {
+			t.Fatalf("raw hello 2: negotiated v%d, want v1", ack.Format)
 		}
 	})
 }
@@ -521,7 +549,7 @@ func (r *raw) expectError(typ byte, payload []byte, contains string) error {
 func TestHotTenantIsolation(t *testing.T) {
 	healthySpec := [4]int{0, 'A', 16, 2}
 	opts := testOpts
-	opts.PackVersion = trace.PackV2
+	opts.PackVersion = trace.PackV3
 
 	capHealthy := capture(t, opts, healthySpec)
 	capHot := capture(t, opts, [4]int{1, 'A', 16, 12})

@@ -58,7 +58,7 @@ func TestParallelWorkersByteIdentical(t *testing.T) {
 // merges fold into the daemon aggregate.
 func TestParallelSessionStatus(t *testing.T) {
 	opts := testOpts
-	opts.PackVersion = trace.PackV2
+	opts.PackVersion = trace.PackV3
 	cp := capture(t, opts, [4]int{0, 'A', 16, 2})
 
 	d, addr := startTCP(t, Options{Workers: 2})
@@ -122,7 +122,7 @@ func TestParallelSessionStatus(t *testing.T) {
 // enqueue), not be silently dropped.
 func TestParallelLaneDecodeError(t *testing.T) {
 	opts := testOpts
-	opts.PackVersion = trace.PackV2
+	opts.PackVersion = trace.PackV3
 	cp := capture(t, opts, [4]int{0, 'A', 16, 2})
 
 	d, _ := startTCP(t, Options{Workers: 2})

@@ -359,7 +359,8 @@ func (m *BoardMetrics) OnBackoff(shard int) {
 	m.backoffs.AddShard(shard, 1)
 }
 
-// OnDrop records one entry dropped after close.
+// OnDrop records one entry discarded undelivered (see blackboard
+// Stats.Dropped for the discard paths).
 func (m *BoardMetrics) OnDrop() {
 	if m == nil {
 		return

@@ -4,7 +4,7 @@ import (
 	"testing"
 )
 
-// TestBuilderAccessors pins the introspection surface all three builders
+// TestBuilderAccessors pins the introspection surface both builders
 // share (cmd tools and the exp harnesses size buffers off it).
 func TestBuilderAccessors(t *testing.T) {
 	ev := Event{Kind: KindSend, Rank: 0, Peer: 1, Size: 64, TStart: 1, TEnd: 2}
@@ -18,15 +18,6 @@ func TestBuilderAccessors(t *testing.T) {
 		t.Fatalf("v1 len = %d", v1.Len())
 	}
 
-	v2 := NewPackBuilderV2(1, 0, MinRecordSize, 1<<12)
-	v2.Add(&ev)
-	if v2.CapBytes() != 1<<12 || v2.RecordSize() != MinRecordSize || v2.Count() != 1 {
-		t.Fatalf("v2 accessors: cap=%d rec=%d count=%d", v2.CapBytes(), v2.RecordSize(), v2.Count())
-	}
-	if v2.Len() <= PackHeaderSize || v2.Len() >= v2.LogicalLen() {
-		t.Fatalf("v2 len = %d, logical %d", v2.Len(), v2.LogicalLen())
-	}
-
 	v3 := NewPackBuilderV3(1, 0, MinRecordSize, 1<<12)
 	v3.Add(&ev)
 	if v3.CapBytes() != 1<<12 || v3.RecordSize() != MinRecordSize || v3.Count() != 1 {
@@ -36,7 +27,7 @@ func TestBuilderAccessors(t *testing.T) {
 		t.Fatalf("v3 len = %d, logical %d", v3.Len(), v3.LogicalLen())
 	}
 
-	for v, b := range map[int]Builder{PackV1: v1, PackV2: v2, PackV3: v3} {
+	for v, b := range map[int]Builder{PackV1: v1, PackV3: v3} {
 		if b.Version() != v {
 			t.Fatalf("builder reports v%d, want v%d", b.Version(), v)
 		}
@@ -105,10 +96,10 @@ func TestAuditPackRoundTrip(t *testing.T) {
 		}
 	}
 
-	v2 := NewPackBuilderV2(9, 4, MinRecordSize, 1<<12)
+	v3 := NewPackBuilderV3(9, 4, MinRecordSize, 1<<12)
 	ev := Event{Kind: KindSend, Rank: 0, Peer: 1, Size: 8, TStart: 0, TEnd: 1}
-	v2.Add(&ev)
-	if _, _, err := DecodeAuditPack(v2.Take()); err == nil {
-		t.Fatal("v2 pack accepted as an audit pack")
+	v3.Add(&ev)
+	if _, _, err := DecodeAuditPack(v3.Take()); err == nil {
+		t.Fatal("v3 pack accepted as an audit pack")
 	}
 }

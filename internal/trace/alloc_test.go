@@ -22,58 +22,19 @@ func TestPackBuilderReuseAllocationFree(t *testing.T) {
 	}
 }
 
-// TestPackBuilderV2ReuseAllocationFree pins the same recycling contract
-// for the v2 builder: after the dictionary map and column scratch have
-// warmed up, the fill → take → reset cycle allocates nothing.
-func TestPackBuilderV2ReuseAllocationFree(t *testing.T) {
-	b := NewPackBuilderV2(1, 0, 64, 4096)
-	events := make([]Event, 8)
-	for i := range events {
-		events[i] = fig14ishEvent(i)
-	}
-	// Warm-up: size the column scratch, dictionary and output buffer.
-	i := 0
-	for !b.Add(&events[i%len(events)]) {
-		i++
-	}
-	b.Reset(b.Take())
-	allocs := testing.AllocsPerRun(50, func() {
-		j := 0
-		for !b.Add(&events[j%len(events)]) {
-			j++
-		}
-		buf := b.Take()
-		if buf == nil {
-			t.Error("Take returned nil for a full pack")
-		}
-		b.Reset(buf)
-	})
-	if allocs != 0 {
-		t.Errorf("recycled v2 pack cycle allocated %.1f objects per run, want 0", allocs)
-	}
-}
-
-// TestPackReaderAllocationFree pins the zero-copy decode contract: once
-// the reader's dictionary scratch is sized, iterating packs of either wire
-// format allocates nothing per event — or per pack.
+// TestPackReaderAllocationFree pins the zero-copy decode contract:
+// iterating v1 packs allocates nothing per event — or per pack.
 func TestPackReaderAllocationFree(t *testing.T) {
 	packs := make([][]byte, 2)
-	for vi, version := range []int{PackV1, PackV2} {
-		b, err := NewBuilder(version, 1, 0, 64, 1<<14)
-		if err != nil {
-			t.Fatal(err)
-		}
+	for pi, recordSize := range []int{MinRecordSize, 64} {
+		b := NewPackBuilder(1, 0, recordSize, 1<<14)
 		for i := 0; i < 100; i++ {
 			ev := fig14ishEvent(i)
 			b.Add(&ev)
 		}
-		packs[vi] = b.Take()
+		packs[pi] = b.Take()
 	}
 	var r PackReader
-	// Warm-up sizes the dictionary scratch.
-	if err := r.Init(packs[1]); err != nil {
-		t.Fatal(err)
-	}
 	var sum int64
 	allocs := testing.AllocsPerRun(50, func() {
 		for _, p := range packs {

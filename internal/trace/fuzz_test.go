@@ -18,14 +18,6 @@ func FuzzDecodePack(f *testing.F) {
 	}
 	v1 := b1.Take()
 	f.Add(append([]byte(nil), v1...))
-	// Valid v2 pack.
-	b2 := NewPackBuilderV2(1, 2, 48, 1<<12)
-	for i := 0; i < 8; i++ {
-		ev := fig14ishEvent(i)
-		b2.Add(&ev)
-	}
-	v2 := b2.Take()
-	f.Add(append([]byte(nil), v2...))
 	// Valid v3 packs: a stream opener (dictionary delta) and a follow-up
 	// (empty delta, nonzero base) so the fuzzer mutates both shapes of
 	// the dictionary prefix.
@@ -42,13 +34,18 @@ func FuzzDecodePack(f *testing.F) {
 	}
 	v3b := b3.Take()
 	f.Add(append([]byte(nil), v3b...))
+	// A column-encoded pack under the retired v2 magic ("VPM2"): what an
+	// older writer would still send. Every reader must refuse it.
+	legacy := append([]byte(nil), v3...)
+	binary.LittleEndian.PutUint32(legacy[0:], 0x324d5056)
+	f.Add(append([]byte(nil), legacy...))
 	// Truncated variants.
 	f.Add(append([]byte(nil), v1[:len(v1)/2]...))
-	f.Add(append([]byte(nil), v2[:len(v2)/2]...))
-	f.Add(append([]byte(nil), v2[:PackHeaderSize]...))
+	f.Add(append([]byte(nil), legacy[:len(legacy)/2]...))
+	f.Add(append([]byte(nil), legacy[:PackHeaderSize]...))
 	f.Add(append([]byte(nil), v3[:len(v3)/2]...))
 	// Corrupt counts and body lengths.
-	for _, seed := range [][]byte{v1, v2, v3} {
+	for _, seed := range [][]byte{v1, legacy, v3} {
 		mut := append([]byte(nil), seed...)
 		binary.LittleEndian.PutUint32(mut[12:], 0xFFFFFFFF)
 		f.Add(append([]byte(nil), mut...))
@@ -59,7 +56,7 @@ func FuzzDecodePack(f *testing.F) {
 		binary.LittleEndian.PutUint32(mut[20:], 0xFFFFFFFF)
 		f.Add(append([]byte(nil), mut...))
 	}
-	// Bare magics, short buffers.
+	// Bare magics (v1, the retired v2, v3), short buffers.
 	f.Add([]byte{0x56, 0x50, 0x4d, 0x54})
 	f.Add([]byte{0x56, 0x50, 0x4d, 0x32})
 	f.Add([]byte{0x56, 0x50, 0x4d, 0x33})

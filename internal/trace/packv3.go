@@ -1,27 +1,33 @@
-// Pack wire format v3: v2's delta+varint columns with a persistent
-// per-stream dictionary.
+// Pack wire format v3: delta+varint event columns with a persistent
+// per-stream (Kind, Comm, Ctx) dictionary.
 //
-// v2 interns the (Kind, Comm, Ctx) triple per pack: every pack re-ships
-// the dictionary entries it references, so a long stream re-encodes the
-// same handful of call sites thousands of times. v3 makes the dictionary
-// a property of the stream instead of the pack: the builder interns each
-// triple once for the stream's lifetime and every pack carries only a
+// The v1 format ships each event as a fixed-layout record (48 bytes plus
+// context padding). Within one stream almost every field is monotone or
+// near-constant: timestamps advance by small increments, ranks and
+// communicators repeat, call sites cycle through a handful of contexts.
+// v3 exploits that: events are split into columns, each column stores
+// per-event deltas as zigzag varints, and the (Kind, Comm, Ctx) triple —
+// the per-call context — is interned in a dictionary so a repeated call
+// site costs one small index instead of 9+ bytes. The dictionary is a
+// property of the stream, not the pack: the builder interns each triple
+// once for the stream's lifetime and every pack carries only a
 // dictionary-delta section — the entries first referenced by that pack —
 // while the event columns index the full accumulated dictionary. After
 // the first few packs of a steady workload the delta section is empty
-// and a v3 pack is pure column data.
+// and a v3 pack is pure column data. On the streaming workloads of
+// Figure 14 this cuts bytes per event several-fold, which is exactly the
+// "measurements reduction" axis the paper optimizes: stream throughput is
+// bytes-bound on the interconnect, so fewer bytes per event is more
+// events per second for the same NIC.
 //
 // The price is state: decoding pack N requires the dictionary built from
 // packs 1..N-1 of the same writer, so v3 packs must be decoded in
 // per-writer order by a stateful StreamDecoder (the stream layer
 // guarantees per-writer delivery order; the blackboard's worker pool does
 // not, which is why v3 packs take the fused stream-ingest path instead of
-// traveling the board — see analysis.FusedIngest). v2 remains the right
-// format for short streams and stateless consumers: on a stream of a
-// single pack, v3's delta section is exactly v2's dictionary plus two
-// prefix bytes, so v3 strictly loses there.
+// traveling the board — see analysis.FusedIngest).
 //
-// Wire layout (header as v2, new magic):
+// Wire layout (all integers little-endian, varints per encoding/binary):
 //
 //	offset 0  magic       uint32  = 0x334d5056 ("VPM3")
 //	       4  appID       uint32
@@ -34,15 +40,33 @@
 //	          uvarint dictAdd  — entries introduced by this pack, then
 //	              dictAdd entries of kind (1 byte), comm (uvarint),
 //	              ctx (uvarint)
-//	          7 columns as v2 (column 0 indexes the full dictionary,
-//	              [0, dictBase+dictAdd))
+//	          7 columns, each uvarint colBytes followed by colBytes bytes:
+//	              0  dictionary index per event  (uvarint, indexes the
+//	                 full dictionary [0, dictBase+dictAdd))
+//	              1  rank delta                  (zigzag varint)
+//	              2  peer delta                  (zigzag varint)
+//	              3  tag delta                   (zigzag varint)
+//	              4  size delta                  (zigzag varint)
+//	              5  tstart delta                (zigzag varint)
+//	              6  duration (tEnd-tStart) delta (zigzag varint)
+//
+// Every delta chain starts from 0 at each pack, so only the dictionary is
+// cross-pack state. Deltas are zigzag-encoded (not plain uvarint) so the
+// format round-trips arbitrary event tensors — monotone streams pay one
+// extra bit per field for that safety.
 //
 // dictBase makes loss detectable: a decoder whose dictionary disagrees
 // with a pack's base fails loudly ("dictionary gap") instead of folding
 // events under the wrong call sites. dictBase == 0 is a stream-dictionary
 // restart (a recorder switching formats mid-run starts a fresh builder);
-// the decoder resets and resynchronizes. Delta chains still restart from
-// zero at each pack, so only the dictionary is cross-pack state.
+// the decoder resets and resynchronizes.
+//
+// A v3 pack carries the same events as the v1 pack of the same capacity
+// (the builder fills by logical bytes, not encoded bytes), so pack
+// boundaries, flush cadence and per-pack event counts are unchanged; only
+// the bytes on the wire shrink. When the input is high-entropy (randomized
+// fields, no repetition) v3 can exceed the logical size; the builder then
+// closes the pack early so the encoded pack never exceeds its capacity.
 package trace
 
 import (
@@ -53,10 +77,15 @@ import (
 const (
 	packMagicV3 = 0x334d5056 // "VPM3" little-endian
 
-	// worstPerEventV3 bounds the encoded growth of one Add: v2's worst
-	// case plus one byte of growth for each of the two dictionary
-	// prefixes (base and add count).
-	worstPerEventV3 = worstPerEventV2 + 2
+	// numColumns is the fixed column count of the v3 body.
+	numColumns = 7
+
+	// worstPerEventV3 bounds the encoded growth of one Add: a fresh
+	// dictionary entry (1 + 2×10), one index varint and six delta varints,
+	// plus one byte of potential growth for each column-length prefix and
+	// three for the dictionary prefixes (base and add count, one byte of
+	// slack). Changing it moves pack boundaries on high-entropy input.
+	worstPerEventV3 = (1 + 2*binary.MaxVarintLen64) + numColumns*binary.MaxVarintLen64 + numColumns + 3
 
 	// maxStreamDict caps the persistent dictionary a decoder will grow on
 	// behalf of one writer. Real instrumentation streams intern a few
@@ -68,11 +97,31 @@ const (
 // PackV3 is the persistent-dictionary column format.
 const PackV3 = 3
 
+// zigzag maps signed deltas onto unsigned varint space (small magnitudes
+// of either sign stay small).
+func zigzag(v int64) uint64   { return uint64(v<<1) ^ uint64(v>>63) }
+func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
+
+// kctKey is a dictionary key: one (Kind, Comm, Ctx) triple.
+type kctKey struct {
+	kind Kind
+	comm uint32
+	ctx  uint32
+}
+
+func uvarintLen(v uint64) int {
+	n := 1
+	for v >= 0x80 {
+		v >>= 7
+		n++
+	}
+	return n
+}
+
 // PackBuilderV3 accumulates events into v3-encoded packs, keeping the
 // (Kind, Comm, Ctx) dictionary across the take → reset cycle: entries are
 // interned once per stream and each Take ships only the delta section.
-// Like the v2 builder, the steady-state fill → take → reset cycle
-// allocates nothing. The zero value is not usable — use NewPackBuilderV3.
+// The steady-state fill → take → reset cycle allocates nothing. The zero value is not usable — use NewPackBuilderV3.
 type PackBuilderV3 struct {
 	appID      uint32
 	srcRank    int32
@@ -97,7 +146,7 @@ type PackBuilderV3 struct {
 }
 
 // NewPackBuilderV3 creates a v3 builder with the same capacity semantics
-// as the v1/v2 builders: the pack closes when another logical (v1-sized)
+// as the v1 builder: the pack closes when another logical (v1-sized)
 // record would no longer fit, so pack boundaries are format-independent.
 func NewPackBuilderV3(appID uint32, srcRank int32, recordSize, packBytes int) *PackBuilderV3 {
 	if recordSize < MinRecordSize {
@@ -172,7 +221,7 @@ func (b *PackBuilderV3) resetState() {
 
 // Reset discards any pack under construction (the stream dictionary
 // keeps only entries already shipped) and adopts buf as output storage
-// when large enough, mirroring the v1/v2 builders.
+// when large enough, mirroring the v1 builder.
 func (b *PackBuilderV3) Reset(buf []byte) {
 	b.resetState()
 	if cap(buf) >= b.capBytes {
@@ -251,9 +300,9 @@ func (b *PackBuilderV3) Take() []byte {
 // persistent dictionary across packs. Packs must be fed in the writer's
 // emission order (per-writer stream delivery order); a pack whose
 // dictionary base disagrees with the accumulated state fails loudly
-// instead of mis-attributing events. The decoder also accepts v1 and v2
-// packs (they carry no cross-pack state), so one per-writer decoder
-// serves a stream whose format switches mid-run.
+// instead of mis-attributing events. The decoder also accepts v1 packs
+// (they carry no cross-pack state), so one per-writer decoder serves a
+// stream whose format switches mid-run.
 //
 // Like PackReader, iteration is zero-copy and allocation-free in steady
 // state, and a decoder is single-goroutine.
@@ -266,13 +315,8 @@ type StreamDecoder struct {
 	// v1 cursor.
 	off int
 
-	// dict is the persistent v3 stream dictionary; scratch holds a v2
-	// pack's self-contained dictionary so an interleaved v2 pack never
-	// disturbs the v3 state.
-	dict    []kctKey
-	scratch []kctKey
-	// dictLive is the bound column 0 may index for the current pack.
-	dictLive int
+	// dict is the persistent v3 stream dictionary.
+	dict []kctKey
 
 	colPos, colEnd                [numColumns]int
 	i                             int
@@ -284,7 +328,6 @@ type StreamDecoder struct {
 // been decoded yet.
 func (d *StreamDecoder) ResetStream() {
 	d.dict = d.dict[:0]
-	d.scratch = d.scratch[:0]
 	d.err = nil
 	d.i = 0
 	d.h = Header{}
@@ -313,68 +356,44 @@ func (d *StreamDecoder) Init(buf []byte) error {
 	switch h.Version {
 	case PackV1:
 		return nil
-	case PackV2:
-		// Stateless: decode the per-pack dictionary into the tail of the
-		// persistent slice? No — a v2 pack must not disturb v3 state (the
-		// stream may interleave formats around a controller switch), so
-		// borrow a PackReader for it... simplest is to decode v2 with the
-		// same column machinery over a scratch window: the per-pack
-		// entries live past the persistent dictionary and are truncated
-		// away on the next Init.
-		return d.initColumns(false)
 	case PackV3:
-		return d.initColumns(true)
+		return d.initColumns()
 	}
 	return d.fail(fmt.Errorf("trace: stream decoder cannot decode pack version %d", h.Version))
 }
 
-// initColumns parses the dictionary section and column extents. For v3
-// the dictionary delta extends the persistent dictionary; a v2 pack's
-// self-contained dictionary goes to the scratch slice, leaving the v3
-// state untouched.
-func (d *StreamDecoder) initColumns(persistent bool) error {
+// initColumns parses the dictionary delta, extending the persistent
+// dictionary, and the column extents.
+func (d *StreamDecoder) initColumns() error {
 	h := d.h
 	buf := d.buf
 	d.prevRank, d.prevPeer, d.prevTag = 0, 0, 0
 	d.prevSize, d.prevTStart, d.prevDur = 0, 0, 0
 	body := PackHeaderSize + h.bodyLen
 	pos := PackHeaderSize
-	target := &d.scratch
-	first := 0
-	var count int
-	if persistent {
-		base, n := binary.Uvarint(buf[pos:body])
-		if n <= 0 {
-			return d.fail(fmt.Errorf("trace: v3 pack dictionary base invalid"))
-		}
-		pos += n
-		adds, n := binary.Uvarint(buf[pos:body])
-		if n <= 0 || adds > uint64(h.Count) {
-			return d.fail(fmt.Errorf("trace: v3 pack dictionary delta length invalid"))
-		}
-		pos += n
-		if base == 0 {
-			// Stream-dictionary restart: the writer started a fresh
-			// builder (format switch, new stream under an old decoder).
-			d.dict = d.dict[:0]
-		} else if int(base) != len(d.dict) {
-			return d.fail(fmt.Errorf("trace: v3 pack dictionary gap: pack base %d, stream has %d entries (lost or reordered pack)", base, len(d.dict)))
-		}
-		if base+adds > maxStreamDict {
-			return d.fail(fmt.Errorf("trace: v3 stream dictionary would exceed %d entries", maxStreamDict))
-		}
-		target = &d.dict
-		first, count = len(d.dict), int(adds)
-	} else {
-		dictLen, n := binary.Uvarint(buf[pos:body])
-		if n <= 0 || dictLen > uint64(h.Count) {
-			return d.fail(fmt.Errorf("trace: v2 pack dictionary length invalid"))
-		}
-		pos += n
-		count = int(dictLen)
+	base, n := binary.Uvarint(buf[pos:body])
+	if n <= 0 {
+		return d.fail(fmt.Errorf("trace: v3 pack dictionary base invalid"))
 	}
-	need := first + count
-	dict := *target
+	pos += n
+	adds, n := binary.Uvarint(buf[pos:body])
+	if n <= 0 || adds > uint64(h.Count) {
+		return d.fail(fmt.Errorf("trace: v3 pack dictionary delta length invalid"))
+	}
+	pos += n
+	if base == 0 {
+		// Stream-dictionary restart: the writer started a fresh
+		// builder (format switch, new stream under an old decoder).
+		d.dict = d.dict[:0]
+	} else if int(base) != len(d.dict) {
+		return d.fail(fmt.Errorf("trace: v3 pack dictionary gap: pack base %d, stream has %d entries (lost or reordered pack)", base, len(d.dict)))
+	}
+	if base+adds > maxStreamDict {
+		return d.fail(fmt.Errorf("trace: v3 stream dictionary would exceed %d entries", maxStreamDict))
+	}
+	first := len(d.dict)
+	need := first + int(adds)
+	dict := d.dict
 	if cap(dict) < need {
 		nd := make([]kctKey, first, need)
 		copy(nd, dict[:first])
@@ -383,27 +402,26 @@ func (d *StreamDecoder) initColumns(persistent bool) error {
 	dict = dict[:need]
 	for i := first; i < need; i++ {
 		if pos >= body {
-			*target = dict[:first]
+			d.dict = dict[:first]
 			return d.fail(fmt.Errorf("trace: pack dictionary truncated"))
 		}
 		kind := Kind(buf[pos])
 		pos++
 		comm, n := binary.Uvarint(buf[pos:body])
 		if n <= 0 || comm > 1<<32-1 {
-			*target = dict[:first]
+			d.dict = dict[:first]
 			return d.fail(fmt.Errorf("trace: pack dictionary comm invalid"))
 		}
 		pos += n
 		ctx, n := binary.Uvarint(buf[pos:body])
 		if n <= 0 || ctx > 1<<32-1 {
-			*target = dict[:first]
+			d.dict = dict[:first]
 			return d.fail(fmt.Errorf("trace: pack dictionary ctx invalid"))
 		}
 		pos += n
 		dict[i] = kctKey{kind: kind, comm: uint32(comm), ctx: uint32(ctx)}
 	}
-	*target = dict
-	d.dictLive = need
+	d.dict = dict
 	for c := 0; c < numColumns; c++ {
 		colBytes, n := binary.Uvarint(buf[pos:body])
 		if n <= 0 || colBytes > uint64(body-pos-n) {
@@ -436,18 +454,6 @@ func (d *StreamDecoder) Err() error { return d.err }
 // until the next Next or Init.
 func (d *StreamDecoder) Event() *Event { return &d.ev }
 
-// dictAt resolves a column-0 index for the current pack: persistent
-// indices for v3, per-pack scratch indices for v2.
-func (d *StreamDecoder) dictAt(idx uint64) (kctKey, bool) {
-	if idx >= uint64(d.dictLive) {
-		return kctKey{}, false
-	}
-	if d.h.Version == PackV2 {
-		return d.scratch[idx], true
-	}
-	return d.dict[idx], true
-}
-
 // Next decodes the next event in place, reporting false at the end of
 // the pack or on a malformed record (check Err to distinguish).
 func (d *StreamDecoder) Next() bool {
@@ -464,11 +470,11 @@ func (d *StreamDecoder) Next() bool {
 	if !ok {
 		return false
 	}
-	key, ok := d.dictAt(idx)
-	if !ok {
+	if idx >= uint64(len(d.dict)) {
 		d.fail(fmt.Errorf("trace: pack dictionary index %d out of range", idx))
 		return false
 	}
+	key := d.dict[idx]
 	dRank, ok1 := d.col(1)
 	dPeer, ok2 := d.col(2)
 	dTag, ok3 := d.col(3)

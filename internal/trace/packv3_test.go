@@ -84,52 +84,49 @@ func TestPackV3RoundTripMultiPack(t *testing.T) {
 	}
 }
 
-// TestPackV3BeatsV2OnSteadyStream pins the reason v3 exists: on a
-// multi-pack stream of recurring call sites, v3's total wire volume is
-// strictly below v2's, because v2 re-ships the dictionary in every pack.
-// It also pins the flip side documented in DESIGN §13: on a single-pack
-// stream v3 is the larger format (same dictionary plus two prefix
-// bytes), so short streams should stay on v2.
+// TestPackV3BeatsV2OnSteadyStream pins the reason the stream dictionary
+// exists: on a multi-pack stream of recurring call sites, v3's total wire
+// volume is strictly below the same stream restarted every pack
+// (dictionary base 0, every pack re-ships its dictionary — the retired
+// v2's per-pack scheme). On a single-pack stream the two are the same
+// bytes: the persistent dictionary costs nothing until it pays.
 func TestPackV3BeatsV2OnSteadyStream(t *testing.T) {
 	events := make([]Event, 2000)
 	for i := range events {
 		events[i] = fig14ishEvent(i)
 	}
-	wire := func(version int) int {
-		b, err := NewBuilder(version, 1, 0, 48, 1<<10)
-		if err != nil {
-			t.Fatal(err)
-		}
+	wire := func(restart bool) int {
+		b := NewPackBuilderV3(1, 0, 48, 1<<10)
 		total := 0
 		for i := range events {
 			if b.Add(&events[i]) {
 				total += len(b.Take())
-				b.Reset(nil)
+				if restart {
+					b = NewPackBuilderV3(1, 0, 48, 1<<10)
+				}
 			}
 		}
 		total += len(b.Take())
 		return total
 	}
-	v2, v3 := wire(PackV2), wire(PackV3)
-	if v3 >= v2 {
-		t.Fatalf("v3 stream is %d bytes, v2 is %d — the persistent dictionary should win on a long stream", v3, v2)
+	perPack, stream := wire(true), wire(false)
+	if stream >= perPack {
+		t.Fatalf("v3 stream is %d bytes, per-pack restarts %d — the persistent dictionary should win on a long stream", stream, perPack)
 	}
 
-	// Single pack: v3 carries the same delta entries as v2's dictionary
-	// plus the base prefix, so it must be (slightly) larger.
-	single := func(version int) int {
-		b, err := NewBuilder(version, 1, 0, 48, 1<<14)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < 50; i++ {
-			ev := fig14ishEvent(i)
-			b.Add(&ev)
-		}
-		return len(b.Take())
+	// Single pack: a stream opener is the same bytes either way.
+	b := NewPackBuilderV3(1, 0, 48, 1<<14)
+	for i := 0; i < 50; i++ {
+		ev := fig14ishEvent(i)
+		b.Add(&ev)
 	}
-	if s2, s3 := single(PackV2), single(PackV3); s3 <= s2 {
-		t.Fatalf("single v3 pack is %d bytes, v2 is %d — expected v3 to pay the prefix overhead", s3, s2)
+	opener := b.Take()
+	var d StreamDecoder
+	if n, err := d.DecodeDispatch(opener, func(*Event) {}); err != nil || n != 50 {
+		t.Fatalf("single-pack stream decoded %d events, err %v", n, err)
+	}
+	if base, _ := binary.Uvarint(opener[PackHeaderSize:]); base != 0 {
+		t.Fatalf("stream opener has dictionary base %d, want 0", base)
 	}
 }
 
@@ -190,7 +187,7 @@ func TestStreamDecoderGap(t *testing.T) {
 
 // TestStreamDecoderMixedFormats checks that one per-writer decoder
 // handles a stream whose format switches mid-run (the adaptive
-// controller's actuation ladder does exactly this): v1 and v2 packs are
+// controller's actuation ladder does exactly this): v1 packs are
 // self-contained and must not disturb the persistent v3 dictionary.
 func TestStreamDecoderMixedFormats(t *testing.T) {
 	events := make([]Event, 120)
@@ -202,25 +199,20 @@ func TestStreamDecoderMixedFormats(t *testing.T) {
 	if len(v3packs) < 2 {
 		t.Fatalf("need >= 2 v3 packs, got %d", len(v3packs))
 	}
-	b2 := NewPackBuilderV2(1, 0, 48, 1<<12)
-	for i := range events[:40] {
-		b2.Add(&events[i])
-	}
-	v2pack := b2.Take()
 	b1 := NewPackBuilder(1, 0, 48, 1<<12)
 	for i := range events[:10] {
 		b1.Add(&events[i])
 	}
 	v1pack := b1.Take()
 
-	// v3, then v2 and v1 interleaved, then the REST of the v3 stream:
-	// the later v3 packs decode only if the persistent dictionary
-	// survived the interleaving untouched.
-	stream := [][]byte{v3packs[0], v2pack, v1pack}
+	// v3, then v1 interleaved, then the REST of the v3 stream: the later
+	// v3 packs decode only if the persistent dictionary survived the
+	// interleaving untouched.
+	stream := [][]byte{v3packs[0], v1pack}
 	stream = append(stream, v3packs[1:]...)
 	var d StreamDecoder
 	got := decodeStream(t, &d, stream)
-	want := len(events) + 40 + 10
+	want := len(events) + 10
 	if len(got) != want {
 		t.Fatalf("decoded %d events, want %d", len(got), want)
 	}

@@ -211,20 +211,20 @@ type Header struct {
 	SrcRank int32
 	// Count is the number of event records in the pack.
 	Count int
-	// RecordSize is the per-record byte size (>= MinRecordSize). For a v2
+	// RecordSize is the per-record byte size (>= MinRecordSize). For a v3
 	// pack this is the logical v1 record size the pack stands in for — the
 	// accounting basis for compression ratios — not an on-wire stride.
 	RecordSize int
-	// Version is the pack wire format (PackV1, PackV2, or PackV3).
+	// Version is the pack wire format (PackV1, PackV3, or PackAudit).
 	Version int
 
-	// bodyLen is the v2/v3 encoded body size after the header (0 for v1).
+	// bodyLen is the v3 encoded body size after the header (0 for v1).
 	bodyLen int
 }
 
 // WireLen returns the encoded byte size of the pack the header describes.
 func (h Header) WireLen() int {
-	if h.Version == PackV2 || h.Version == PackV3 {
+	if h.Version == PackV3 {
 		return PackHeaderSize + h.bodyLen
 	}
 	return PackHeaderSize + h.Count*h.RecordSize
@@ -346,8 +346,63 @@ func (b *PackBuilder) Take() []byte {
 	return out
 }
 
+// PackV1 is the fixed-record wire format ("the C structure is directly
+// sent").
+const PackV1 = 1
+
+// Builder is the encoding side of a pack codec: both the v1 PackBuilder
+// and the v3 PackBuilderV3 satisfy it, so the online recorder treats the
+// wire format as a per-stream configuration.
+type Builder interface {
+	// Add appends an event and reports whether the pack is full.
+	Add(e *Event) bool
+	// Take finalizes and returns the encoded pack (nil when empty).
+	Take() []byte
+	// Reset starts a fresh pack, adopting buf as storage when possible.
+	Reset(buf []byte)
+	// CapBytes returns the maximum encoded pack size.
+	CapBytes() int
+	// Count returns the events in the pack under construction.
+	Count() int
+	// Len returns the current encoded size of the pack under construction.
+	Len() int
+	// RecordSize returns the logical per-record size.
+	RecordSize() int
+	// Version returns the wire format (PackV1 or PackV3).
+	Version() int
+}
+
+// NegotiateFormat returns the highest pack wire format this build speaks
+// that does not exceed max, the ceiling a peer announced: PackV3 for
+// max >= 3, PackV1 for 1 and 2 (2 named the retired per-pack dictionary
+// format), and 0 — nothing in common — below 1.
+func NegotiateFormat(max int) int {
+	switch {
+	case max >= PackV3:
+		return PackV3
+	case max >= PackV1:
+		return PackV1
+	}
+	return 0
+}
+
+// Version reports the v1 builder's wire format (Builder interface).
+func (b *PackBuilder) Version() int { return PackV1 }
+
+// NewBuilder creates a pack builder for the given wire format version
+// (0 defaults to v1).
+func NewBuilder(version int, appID uint32, srcRank int32, recordSize, packBytes int) (Builder, error) {
+	switch version {
+	case 0, PackV1:
+		return NewPackBuilder(appID, srcRank, recordSize, packBytes), nil
+	case PackV3:
+		return NewPackBuilderV3(appID, srcRank, recordSize, packBytes), nil
+	}
+	return nil, fmt.Errorf("trace: unknown pack format version %d", version)
+}
+
 // PeekHeader decodes just the pack header (for dispatching without a full
-// decode), accepting both wire formats.
+// decode), accepting every wire format.
 func PeekHeader(buf []byte) (Header, error) {
 	if len(buf) < PackHeaderSize {
 		return Header{}, fmt.Errorf("trace: pack of %d bytes is shorter than the header", len(buf))
@@ -356,8 +411,6 @@ func PeekHeader(buf []byte) (Header, error) {
 	switch binary.LittleEndian.Uint32(buf) {
 	case packMagic:
 		version = PackV1
-	case packMagicV2:
-		version = PackV2
 	case packMagicV3:
 		version = PackV3
 	case packMagicAudit:
@@ -386,7 +439,7 @@ func PeekHeader(buf []byte) (Header, error) {
 	if h.RecordSize < MinRecordSize {
 		return Header{}, fmt.Errorf("trace: record size %d below minimum %d", h.RecordSize, MinRecordSize)
 	}
-	if version == PackV2 || version == PackV3 {
+	if version == PackV3 {
 		h.bodyLen = int(binary.LittleEndian.Uint32(buf[20:]))
 		if h.bodyLen > len(buf)-PackHeaderSize {
 			return Header{}, fmt.Errorf("trace: v%d pack truncated: %d bytes, header implies %d", version, len(buf), PackHeaderSize+h.bodyLen)
@@ -409,7 +462,7 @@ func PeekHeader(buf []byte) (Header, error) {
 }
 
 // PeekHeaderV1 decodes a pack header accepting only the v1 wire format: a
-// reader that has not negotiated v2 uses this so a v2 pack fails loudly
+// reader that has not negotiated v3 uses this so a v3 pack fails loudly
 // instead of being misparsed.
 func PeekHeaderV1(buf []byte) (Header, error) {
 	h, err := PeekHeader(buf)
@@ -422,8 +475,7 @@ func PeekHeaderV1(buf []byte) (Header, error) {
 	return h, nil
 }
 
-// DecodePack decodes a pack (either wire format) into its header and
-// events.
+// DecodePack decodes a v1 pack into its header and events.
 func DecodePack(buf []byte) (Header, []Event, error) {
 	var r PackReader
 	if err := r.Init(buf); err != nil {
@@ -440,9 +492,9 @@ func DecodePack(buf []byte) (Header, []Event, error) {
 	return h, events, nil
 }
 
-// DecodeEach decodes a pack (either wire format), invoking fn per event
-// without materializing a slice (the analyzer's unpacker uses this on the
-// hot path).
+// DecodeEach decodes a v1 pack, invoking fn per event without
+// materializing a slice (the analyzer's unpacker uses this on the hot
+// path).
 func DecodeEach(buf []byte, fn func(e *Event)) (Header, error) {
 	var r PackReader
 	if err := r.Init(buf); err != nil {
@@ -452,4 +504,78 @@ func DecodeEach(buf []byte, fn func(e *Event)) (Header, error) {
 		fn(r.Event())
 	}
 	return r.Header(), r.Err()
+}
+
+// PackReader iterates the events of a v1 pack, decoding in place from the
+// borrowed buffer: no per-event allocation, no intermediate slice. A
+// reader is reusable — Init on the next pack — and single-goroutine, like
+// any iterator. v3 packs need the per-writer dictionary and are refused:
+// decode them with a StreamDecoder.
+//
+//	var pr trace.PackReader
+//	if err := pr.Init(buf); err != nil { ... }
+//	for pr.Next() {
+//	    e := pr.Event() // valid until the next Next/Init
+//	}
+//	if err := pr.Err(); err != nil { ... }
+type PackReader struct {
+	h   Header
+	buf []byte
+	ev  Event
+	err error
+	off int
+	i   int
+}
+
+// Init prepares the reader for a pack. The buffer is borrowed, not
+// copied: it must stay immutable until iteration finishes. Returns the
+// header-validation error, if any.
+func (r *PackReader) Init(buf []byte) error {
+	h, err := PeekHeader(buf)
+	if err != nil {
+		r.err = err
+		r.h = Header{}
+		r.i = 0
+		r.off = 0
+		r.buf = nil
+		return err
+	}
+	r.h = h
+	r.buf = buf
+	r.err = nil
+	r.i = 0
+	r.off = PackHeaderSize
+	if h.Version == PackV3 {
+		// v3 decoding needs the persistent per-writer dictionary, which a
+		// stateless reader cannot have: refusing here (instead of silently
+		// misreading) is what catches a v3 pack that leaked onto a path
+		// that does not preserve per-writer order.
+		r.err = fmt.Errorf("trace: v3 pack requires a per-writer StreamDecoder, not the stateless PackReader")
+		r.i = h.Count
+		return r.err
+	}
+	return nil
+}
+
+// Header returns the pack header decoded by Init.
+func (r *PackReader) Header() Header { return r.h }
+
+// Err returns the first decode error (nil while the pack is healthy).
+func (r *PackReader) Err() error { return r.err }
+
+// Event returns the event decoded by the last successful Next. The
+// pointer stays valid — and its fields stable — until the next Next or
+// Init call.
+func (r *PackReader) Event() *Event { return &r.ev }
+
+// Next decodes the next record in place, reporting false at the end of
+// the pack or after a failed Init (check Err to distinguish).
+func (r *PackReader) Next() bool {
+	if r.err != nil || r.i >= r.h.Count {
+		return false
+	}
+	decodeRecord(r.buf[r.off:], &r.ev)
+	r.off += r.h.RecordSize
+	r.i++
+	return true
 }

@@ -5,10 +5,11 @@ import (
 	"testing"
 )
 
-// TestStreamFormatNegotiation covers the happy path: a writer announcing
-// pack format v2 at open has that format recorded per peer on the reader
-// before the first data block is served, and the payload path is
-// unchanged.
+// TestStreamFormatNegotiation covers negotiation with an older writer:
+// one announcing pack format 2 (the retired per-pack dictionary codec)
+// at open has v1 — the highest format both sides still speak — recorded
+// per peer on the reader before the first data block is served, and the
+// payload path is unchanged.
 func TestStreamFormatNegotiation(t *testing.T) {
 	var got []string
 	var peerFormat int
@@ -63,8 +64,8 @@ func TestStreamFormatNegotiation(t *testing.T) {
 	if len(got) != 1 || got[0] != "packed" {
 		t.Fatalf("payload = %v", got)
 	}
-	if peerFormat != 2 {
-		t.Fatalf("reader recorded peer format %d, want 2", peerFormat)
+	if peerFormat != 1 {
+		t.Fatalf("reader recorded peer format %d, want 1", peerFormat)
 	}
 }
 
@@ -135,7 +136,7 @@ func TestStreamFormatRejectedAboveCeiling(t *testing.T) {
 				return
 			}
 			st := NewStream(s, 1024, BalanceRoundRobin)
-			st.SetPackFormat(2)
+			st.SetPackFormat(3)
 			if err := st.OpenMap(&m, "w"); err != nil {
 				t.Error(err)
 				return
@@ -162,7 +163,7 @@ func TestStreamFormatRejectedAboveCeiling(t *testing.T) {
 	if readErr == nil {
 		t.Fatal("reader accepted a format above its ceiling")
 	}
-	if !strings.Contains(readErr.Error(), "format v2") || !strings.Contains(readErr.Error(), "up to v1") {
+	if !strings.Contains(readErr.Error(), "format v3") || !strings.Contains(readErr.Error(), "up to v1") {
 		t.Fatalf("rejection should name both formats, got: %v", readErr)
 	}
 }
@@ -194,11 +195,15 @@ func TestSetPackFormatValidation(t *testing.T) {
 	if (&Stream{}).PeerFormat(0) != 1 {
 		t.Fatal("unknown peer should default to format 1")
 	}
+	capped := &Stream{}
+	capped.SetMaxPackFormat(2)
+	if capped.MaxPackFormat() != 1 {
+		t.Fatalf("a ceiling of 2 negotiates to v%d, want v1", capped.MaxPackFormat())
+	}
 }
 
-// TestStreamFormatV3Negotiation: the v3 hello travels like v2's — the
-// default reader ceiling now admits it, and a reader capped at v2
-// rejects it naming both versions.
+// TestStreamFormatV3Negotiation: the default reader ceiling admits a v3
+// hello and records v3 for the writer.
 func TestStreamFormatV3Negotiation(t *testing.T) {
 	var peerFormat int
 	runMPMD(t,
@@ -254,7 +259,8 @@ func TestStreamFormatV3Negotiation(t *testing.T) {
 }
 
 // TestStreamFormatV3RejectedByV2Reader: a reader that lowered its ceiling
-// to v2 refuses a v3 writer with an error naming both versions.
+// to 2 negotiates it down to v1 (the v2 codec is retired) and refuses a
+// v3 writer with an error naming both versions.
 func TestStreamFormatV3RejectedByV2Reader(t *testing.T) {
 	var readErr error
 	runMPMD(t,
@@ -290,7 +296,7 @@ func TestStreamFormatV3RejectedByV2Reader(t *testing.T) {
 	if readErr == nil {
 		t.Fatal("v2-capped reader accepted a v3 writer")
 	}
-	if !strings.Contains(readErr.Error(), "format v3") || !strings.Contains(readErr.Error(), "up to v2") {
+	if !strings.Contains(readErr.Error(), "format v3") || !strings.Contains(readErr.Error(), "up to v1") {
 		t.Fatalf("rejection should name both formats, got: %v", readErr)
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"repro/internal/des"
 	"repro/internal/mpi"
 	"repro/internal/telemetry"
+	"repro/internal/trace"
 )
 
 // Buffering constants from the paper's Figure 9: NA receive buffers per
@@ -284,7 +285,8 @@ func (st *Stream) SetPackFormat(v int) {
 // SetMaxPackFormat bounds the payload formats this reader accepts
 // (default DefaultMaxPackFormat). A Read that has seen a writer announce
 // a higher format fails with a descriptive error instead of surfacing
-// undecodable blocks.
+// undecodable blocks. The ceiling is negotiated down to a format the
+// codec still speaks (trace.NegotiateFormat): a ceiling of 2 accepts v1.
 func (st *Stream) SetMaxPackFormat(v int) {
 	if v < 1 {
 		panic("vmpi: max pack format must be at least 1")
@@ -305,12 +307,13 @@ func (st *Stream) MaxPackFormat() int {
 	if st.maxPackFormat == 0 {
 		return DefaultMaxPackFormat
 	}
-	return st.maxPackFormat
+	return trace.NegotiateFormat(st.maxPackFormat)
 }
 
-// PeerFormat returns the payload format writer rank (universe) announced
-// to this reader — 1 when the writer never announced (the default
-// format), since announcements precede data on the same channel.
+// PeerFormat returns the payload format negotiated for writer rank
+// (universe): the highest format the writer announced that the codec
+// still speaks — 1 when the writer never announced (the default format),
+// since announcements precede data on the same channel.
 func (st *Stream) PeerFormat(rank int) int {
 	if v, ok := st.peerFormat[rank]; ok {
 		return v
@@ -701,9 +704,10 @@ func (st *Stream) Read(nonblock bool) (*Block, error) {
 			if len(payload) != 4 {
 				return nil, fmt.Errorf("vmpi: malformed format hello from rank %d (%d bytes)", status.Source, len(payload))
 			}
-			v := int(binary.LittleEndian.Uint32(payload))
-			if v > st.MaxPackFormat() {
-				return nil, fmt.Errorf("vmpi: writer rank %d streams pack format v%d, reader accepts up to v%d", status.Source, v, st.MaxPackFormat())
+			announced := int(binary.LittleEndian.Uint32(payload))
+			v := trace.NegotiateFormat(announced)
+			if announced > trace.PackV3 || v > st.MaxPackFormat() {
+				return nil, fmt.Errorf("vmpi: writer rank %d streams pack format v%d, reader accepts up to v%d", status.Source, announced, st.MaxPackFormat())
 			}
 			if st.peerFormat == nil {
 				st.peerFormat = make(map[int]int, len(st.writers))

@@ -1,6 +1,6 @@
 // Package wire is the profiling daemon's transport framing: a
 // length-prefixed binary frame protocol that carries the existing pack
-// byte format (trace.PackV1/V2/V3) over any io.ReadWriter — loopback or
+// byte format (trace.PackV1/V3) over any io.ReadWriter — loopback or
 // real TCP, an in-process net.Pipe, anything byte-stream shaped. It is
 // the network analogue of the vmpi stream layer: the hello frame
 // announces the client's maximum pack format exactly like the vmpi hello
